@@ -1,10 +1,10 @@
 /**
  * @file
- * Microbenchmarks of the analytic model kernels, scalar vs batched:
- * drive delay factors, distributed-RC wire delay, the repeater
- * search, the critical-path voltage sweep, and conductor resistivity,
- * plus a full interval-simulation run for scale.  Emits the
- * cryowire-bench/1 JSON consumed by tools/bench_gate.py.
+ * Microbenchmarks of the analytic model kernels: drive delay factors,
+ * distributed-RC wire delay and the critical-path voltage sweep
+ * (scalar vs batched), the repeater search and conductor resistivity
+ * (scalar only), plus a full interval-simulation run for scale.
+ * Emits the cryowire-bench/1 JSON consumed by tools/bench_gate.py.
  */
 
 #include <vector>
@@ -106,11 +106,7 @@ main(int argc, char **argv)
                 out[i] = rep.optimize(lengths[i], temp, v);
             keep(out);
         });
-        const double batch = h.time(lengths.size(), [&] {
-            rep.optimizeBatch(lengths, temp, v, out);
-            keep(out);
-        });
-        h.record("repeater_optimize", lengths.size(), scalar, batch);
+        h.record("repeater_optimize", lengths.size(), scalar);
     }
 
     {
@@ -144,11 +140,7 @@ main(int argc, char **argv)
                 out[i] = cu.resistivity(temps[i]);
             keep(out);
         });
-        const double batch = h.time(temps.size(), [&] {
-            cu.resistivityBatch(temps, out);
-            keep(out);
-        });
-        h.record("conductor_resistivity", temps.size(), scalar, batch);
+        h.record("conductor_resistivity", temps.size(), scalar);
     }
 
     {

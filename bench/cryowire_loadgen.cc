@@ -44,6 +44,8 @@
 #include "util/socket.hh"
 #include "util/stats.hh"
 
+#include "micro_common.hh"
+
 namespace
 {
 
@@ -566,42 +568,27 @@ run(const CliOptions &cli)
     if (!cli.json.empty()) {
         std::ofstream out{cli.json};
         fatalIf(!out, "cannot write \"" + cli.json + "\"");
-        JsonWriter w{out};
-        w.beginObject();
-        w.key("schema").value("cryowire-bench/1");
-        w.key("suite").value("serve_loadgen");
-        w.key("unit").value("ns/op");
-        w.key("kernels").beginArray();
-        const auto kernel = [&w, replies](const std::string &name,
-                                          double nsOp) {
-            w.beginObject();
-            w.key("name").value(name);
-            w.key("ops").value(replies);
-            w.key("scalar_ns_op").value(nsOp);
-            w.key("batch_ns_op").null();
-            w.key("speedup").null();
-            w.endObject();
+        const auto kernel = [replies](const std::string &name,
+                                      double nsOp) {
+            return micro::KernelRow{name, replies, nsOp, std::nullopt};
         };
-        kernel(cli.pattern + "_latency_p50",
-               clientUs.percentile(0.50) * 1000.0);
-        kernel(cli.pattern + "_latency_p99",
-               clientUs.percentile(0.99) * 1000.0);
-        kernel(cli.pattern + "_service_time",
-               serviceUs.percentile(0.50) * 1000.0);
-        w.endArray();
-        w.key("issued").value(issued);
-        w.key("replies").value(replies);
-        w.key("ok").value(ok);
-        w.key("errors").value(errors);
-        w.key("failed").value(failed);
-        w.key("overloaded").value(overloaded);
-        w.key("expired").value(expired);
-        w.key("cache_hits").value(cacheHits);
-        w.key("deduped").value(deduped);
+        std::vector<micro::Counter> counters = {
+            {"issued", issued},         {"replies", replies},
+            {"ok", ok},                 {"errors", errors},
+            {"failed", failed},         {"overloaded", overloaded},
+            {"expired", expired},       {"cache_hits", cacheHits},
+            {"deduped", deduped}};
         if (cli.verify)
-            w.key("verify_mismatches").value(mismatches);
-        w.endObject();
-        out << "\n";
+            counters.emplace_back("verify_mismatches", mismatches);
+        micro::writeReport(
+            out, "serve_loadgen",
+            {kernel(cli.pattern + "_latency_p50",
+                    clientUs.percentile(0.50) * 1000.0),
+             kernel(cli.pattern + "_latency_p99",
+                    clientUs.percentile(0.99) * 1000.0),
+             kernel(cli.pattern + "_service_time",
+                    serviceUs.percentile(0.50) * 1000.0)},
+            counters);
         fatalIf(!out, "I/O error writing \"" + cli.json + "\"");
     }
 

@@ -23,6 +23,9 @@
  *     ]
  *   }
  * @endcode
+ *
+ * A report may carry named integer counters after the kernels array
+ * (cryowire_loadgen's request accounting); the gate ignores them.
  */
 
 #ifndef CRYOWIRE_BENCH_MICRO_COMMON_HH
@@ -36,6 +39,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,12 +71,53 @@ struct KernelRow
     std::optional<double> batchNsOp;
 };
 
+/** A named integer written after the kernels array. */
+using Counter = std::pair<std::string, std::uint64_t>;
+
+/**
+ * Write one cryowire-bench/1 report for @p suite to @p out: the
+ * kernel rows, then @p counters in the given order.
+ */
+inline void
+writeReport(std::ostream &out, const std::string &suite,
+            const std::vector<KernelRow> &rows,
+            const std::vector<Counter> &counters = {})
+{
+    JsonWriter w{out};
+    w.beginObject();
+    w.key("schema").value("cryowire-bench/1");
+    w.key("suite").value(suite);
+    w.key("unit").value("ns/op");
+    w.key("kernels").beginArray();
+    for (const auto &r : rows) {
+        w.beginObject();
+        w.key("name").value(r.name);
+        w.key("ops").value(r.ops);
+        w.key("scalar_ns_op").value(r.scalarNsOp);
+        w.key("batch_ns_op");
+        if (r.batchNsOp)
+            w.value(*r.batchNsOp);
+        else
+            w.null();
+        w.key("speedup");
+        if (r.batchNsOp)
+            w.value(r.scalarNsOp / *r.batchNsOp);
+        else
+            w.null();
+        w.endObject();
+    }
+    w.endArray();
+    for (const auto &[name, value] : counters)
+        w.key(name).value(value);
+    w.endObject();
+    out << "\n";
+}
+
 /**
  * Suite driver: parses the common CLI, times kernel bodies, renders a
  * table to stdout, and writes the gate's JSON on request.
  *
- * Options: --json PATH, --reps N (default 5), --min-time-ms N
- * (default 100), --quiet.
+ * Options: --json PATH, --quiet.
  */
 class Harness
 {
@@ -91,17 +136,12 @@ class Harness
             };
             if (arg == "--json") {
                 jsonPath_ = next();
-            } else if (arg == "--reps") {
-                reps_ = std::max(1, std::stoi(next()));
-            } else if (arg == "--min-time-ms") {
-                minTimeNs_ = std::stod(next()) * 1e6;
             } else if (arg == "--quiet") {
                 quiet_ = true;
             } else {
                 std::cerr << suite_ << ": unknown option " << arg
                           << "\nusage: " << suite_
-                          << " [--json PATH] [--reps N]"
-                             " [--min-time-ms N] [--quiet]\n";
+                          << " [--json PATH] [--quiet]\n";
                 std::exit(2);
             }
         }
@@ -110,7 +150,7 @@ class Harness
     /**
      * Best-case ns per op of @p body, which performs @p ops_per_call
      * ops per invocation.  Calibrates an iteration count to
-     * ~min-time, then takes the minimum over --reps timed samples.
+     * kMinTimeNs, then takes the minimum over kReps timed samples.
      */
     template <class F>
     double
@@ -127,12 +167,12 @@ class Harness
         };
         std::uint64_t iters = 1;
         double ns = sample(iters);
-        while (ns < minTimeNs_ && iters < (std::uint64_t{1} << 28)) {
+        while (ns < kMinTimeNs && iters < (std::uint64_t{1} << 28)) {
             iters *= 2;
             ns = sample(iters);
         }
         double best = std::numeric_limits<double>::infinity();
-        for (int r = 0; r < reps_; ++r) {
+        for (int r = 0; r < kReps; ++r) {
             best = std::min(best,
                             sample(iters) /
                                 (static_cast<double>(iters) *
@@ -183,40 +223,16 @@ class Harness
                       << "\n";
             return 1;
         }
-        JsonWriter w{out};
-        w.beginObject();
-        w.key("schema").value("cryowire-bench/1");
-        w.key("suite").value(suite_);
-        w.key("unit").value("ns/op");
-        w.key("kernels").beginArray();
-        for (const auto &r : rows_) {
-            w.beginObject();
-            w.key("name").value(r.name);
-            w.key("ops").value(static_cast<std::uint64_t>(r.ops));
-            w.key("scalar_ns_op").value(r.scalarNsOp);
-            w.key("batch_ns_op");
-            if (r.batchNsOp)
-                w.value(*r.batchNsOp);
-            else
-                w.null();
-            w.key("speedup");
-            if (r.batchNsOp)
-                w.value(r.scalarNsOp / *r.batchNsOp);
-            else
-                w.null();
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        out << "\n";
+        writeReport(out, suite_, rows_);
         return out.good() ? 0 : 1;
     }
 
   private:
+    static constexpr int kReps = 5;
+    static constexpr double kMinTimeNs = 100e6;
+
     std::string suite_;
     std::string jsonPath_;
-    int reps_ = 5;
-    double minTimeNs_ = 100e6;
     bool quiet_ = false;
     std::vector<KernelRow> rows_;
 };

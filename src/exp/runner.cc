@@ -364,23 +364,4 @@ runMain(int argc, const char *const *argv)
     return failed == 0 ? 0 : 1;
 }
 
-int
-runExperimentMain(const std::string &name)
-{
-    const Experiment *e = Registry::builtins().find(name);
-    if (e == nullptr) {
-        std::fprintf(stderr, "unknown experiment: %s\n", name.c_str());
-        return 2;
-    }
-    const Context ctx;
-    RunRecord rec;
-    rec.experiment = e;
-    runOne(*e, ctx, rec);
-    std::fputs(renderText(rec).c_str(), stdout);
-    std::vector<RunRecord> records;
-    records.push_back(std::move(rec));
-    const std::size_t failed = renderAnchorSummary(std::cout, records);
-    return failed == 0 ? 0 : 1;
-}
-
 } // namespace cryo::exp

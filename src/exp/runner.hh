@@ -5,9 +5,7 @@
  * deterministic registry-order results), feeds every sink, and applies
  * the anchor gate.
  *
- * runMain() is the cryowire_bench CLI; runExperimentMain() is the
- * 3-line per-figure shim entry that keeps the historical bench_*
- * binaries working.
+ * runMain() is the cryowire_bench CLI.
  */
 
 #ifndef CRYOWIRE_EXP_RUNNER_HH
@@ -65,12 +63,6 @@ std::vector<RunRecord> runExperiments(const Registry &registry,
  * 2 = usage error.
  */
 int runMain(int argc, const char *const *argv);
-
-/**
- * Shim entry: run the single experiment @p name with default options,
- * print its text, and gate its anchors (exit 1 on a miss).
- */
-int runExperimentMain(const std::string &name);
 
 } // namespace cryo::exp
 

@@ -25,7 +25,6 @@ Server::Server(ServerConfig config)
           cfg_.fsyncCache ? dse::CacheDurability::kFsyncPerStore
                           : dse::CacheDurability::kWritePerStore)),
       eval_(evaluator_, cache_.get()),
-      stats_(cfg_.latencyBins, cfg_.latencyBinUs),
       epoch_(std::chrono::steady_clock::now()),
       admission_(cfg_.admission)
 {

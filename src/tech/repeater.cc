@@ -79,54 +79,6 @@ RepeateredWire::optimize(Metre length, Kelvin temp, const VoltagePoint &v,
     return best;
 }
 
-void
-RepeateredWire::optimizeBatch(std::span<const Metre> lengths, Kelvin temp,
-                              const VoltagePoint &v,
-                              std::span<RepeaterDesign> out,
-                              int max_segments) const
-{
-    fatalIf(lengths.size() != out.size(),
-            "optimizeBatch: lengths/out size mismatch");
-    fatalIf(max_segments < 1, "need at least one segment");
-
-    // (T, V)-only invariants, hoisted out of the k and length loops.
-    // h is independent of the segment length in the Elmore form, so
-    // one closed-form evaluation covers every (length, k).
-    const Ohm r0 = mosfet_.driverResistance(temp, v, 1.0);
-    const Farad c0gate = mosfet_.gateCap(1.0);
-    const Farad c0 = mosfet_.gateCap(1.0) + mosfet_.parasiticCap(1.0);
-    const OhmPerMetre r = spec_.resistancePerM(temp);
-    const FaradPerMetre c = spec_.capPerM();
-    const double h = std::max(1.0, std::sqrt(r0 * c / (r * c0gate)));
-    const Ohm rd = mosfet_.driverResistance(temp, v, h);
-    const Farad cg = mosfet_.gateCap(h);
-    const Farad cp = mosfet_.parasiticCap(h);
-    const double k_slope = std::sqrt(0.38 * (r * c).value()
-                                     / (0.69 * (r0 * c0).value()));
-
-    for (std::size_t i = 0; i < lengths.size(); ++i) {
-        const Metre length = lengths[i];
-        fatalIf(length.value() <= 0.0, "wire length must be positive");
-        RepeaterDesign best{
-            1, 1.0, Second{std::numeric_limits<double>::infinity()}, length};
-        const double k_cont = length.value() * k_slope;
-        const int k_hi = std::min<int>(
-            max_segments,
-            std::max(2, static_cast<int>(std::ceil(k_cont)) + 2));
-        for (int k = 1; k <= k_hi; ++k) {
-            const Metre l = length / k;
-            const Farad cw = c * l;
-            const Ohm rw = r * l;
-            const Second t_seg = 0.69 * rd * (cw + cg + cp)
-                + 0.38 * rw * cw + 0.69 * rw * cg;
-            const Second d = k * t_seg;
-            if (d < best.delay)
-                best = {k, h, d, length / k};
-        }
-        out[i] = best;
-    }
-}
-
 RepeaterDesign
 RepeateredWire::optimize(Metre length, Kelvin temp) const
 {

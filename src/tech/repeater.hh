@@ -19,8 +19,6 @@
 #ifndef CRYOWIRE_TECH_REPEATER_HH
 #define CRYOWIRE_TECH_REPEATER_HH
 
-#include <span>
-
 #include "tech/mosfet.hh"
 #include "tech/wire_geometry.hh"
 #include "util/units.hh"
@@ -55,20 +53,6 @@ class RepeateredWire
 
     /** Optimal design at the nominal voltage. */
     RepeaterDesign optimize(units::Metre length, units::Kelvin temp) const;
-
-    /**
-     * Batched optimize over many lengths at one (T, V): out[i] =
-     * optimize(lengths[i], temp, v, max_segments) bit-for-bit.  The
-     * scalar search re-derives the (T, V)-only invariants - driver
-     * resistance (two pow()), unit caps, per-metre wire R/C, and the
-     * closed-form optimal size h - at every candidate segment count k;
-     * the batch entry hoists all of them out of both the k loop and
-     * the length loop.
-     */
-    void optimizeBatch(std::span<const units::Metre> lengths,
-                       units::Kelvin temp, const VoltagePoint &v,
-                       std::span<RepeaterDesign> out,
-                       int max_segments = 256) const;
 
     /** Optimal end-to-end delay. */
     units::Second delay(units::Metre length, units::Kelvin temp) const;

@@ -22,8 +22,6 @@
 #include "pipeline/stage_library.hh"
 #include "sys/interval_sim.hh"
 #include "sys/workload.hh"
-#include "tech/material.hh"
-#include "tech/repeater.hh"
 #include "tech/technology.hh"
 #include "tech/wire_rc.hh"
 #include "util/rng.hh"
@@ -35,7 +33,6 @@ namespace
 using namespace cryo;
 using units::Kelvin;
 using units::Metre;
-using units::OhmMetre;
 using units::Second;
 
 const tech::Technology &
@@ -132,48 +129,6 @@ TEST(BatchEquivalence, WireDelayOverVoltages)
                   rc.delay(length, temp, vs[i]).value())
             << i;
     }
-}
-
-TEST(BatchEquivalence, RepeaterOptimizeOverLengths)
-{
-    Rng rng{0x4e9u};
-    const auto &mosfet = technology().mosfet();
-    tech::RepeateredWire rep{technology().wire(tech::WireLayer::Global),
-                             mosfet};
-    const Kelvin temp = constants::ln2Temp;
-    const tech::VoltagePoint v = mosfet.params().nominal;
-    std::vector<Metre> lengths(97);
-    for (auto &l : lengths)
-        l = Metre{5e-4 + 2e-2 * rng.uniform()};
-    std::vector<tech::RepeaterDesign> out(lengths.size());
-    rep.optimizeBatch(lengths, temp, v, out);
-    for (std::size_t i = 0; i < lengths.size(); ++i) {
-        const auto scalar = rep.optimize(lengths[i], temp, v);
-        EXPECT_EQ(out[i].segments, scalar.segments) << i;
-        EXPECT_EQ(out[i].size, scalar.size) << i;
-        EXPECT_EQ(out[i].delay.value(), scalar.delay.value()) << i;
-        EXPECT_EQ(out[i].segmentLen.value(), scalar.segmentLen.value())
-            << i;
-    }
-}
-
-TEST(BatchEquivalence, ConductorResistivityOverTemperatures)
-{
-    Rng rng{0xc0ffeeu};
-    tech::Conductor cu(OhmMetre{2.8e-8}, OhmMetre{0.759e-8},
-                       Kelvin{343.0});
-    std::vector<Kelvin> temps;
-    for (int i = 0; i < 150; ++i) {
-        const Kelvin t{4.0 + 396.0 * rng.uniform()};
-        const int run = 1 + static_cast<int>(rng.below(3));
-        for (int r = 0; r < run; ++r)
-            temps.push_back(t); // equal runs exercise factor reuse
-    }
-    std::vector<OhmMetre> out(temps.size());
-    cu.resistivityBatch(temps, out);
-    for (std::size_t i = 0; i < temps.size(); ++i)
-        EXPECT_EQ(out[i].value(), cu.resistivity(temps[i]).value())
-            << i;
 }
 
 TEST(BatchEquivalence, CriticalPathMaxDelayAndFrequency)

@@ -357,7 +357,7 @@ TEST_F(SystemTest, CloudSuiteStillBeatsTheBaseline)
 
 TEST(FloorplanScaling, ShorterForwardingWiresGainLessFromCooling)
 {
-    // The ablation behind bench_ablation_floorplan: a halved floorplan
+    // The ablation-floorplan experiment: a halved floorplan
     // shortens the forwarding wires, which makes them driver-limited
     // and *less* responsive to cooling - the bypass target rises a
     // little and the superpipelined clock dips a few percent. This is

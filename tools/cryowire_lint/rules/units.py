@@ -7,7 +7,7 @@ parameter named like a physical quantity (``temp_k``, ``len_m``,
 ``freq_hz``, ``power_w``) in one of those headers erodes the boundary:
 the next caller passes Celsius or millimetres and no one notices.
 
-This ports the raw-double check from the retired tools/lint_units.py
+This ports the raw-double check from the retired regex lint script
 onto the token stream, so string literals and comments can no longer
 produce false positives.
 """

@@ -1,6 +1,6 @@
 """A real C++ tokenizer (comments, strings, raw strings, preprocessor).
 
-The previous lint (``tools/lint_units.py``) ran regexes over
+The previous lint (a regex script, since removed) ran regexes over
 comment-stripped text, which misfires on string literals and cannot
 see token boundaries. This lexer produces a flat token stream with
 line numbers so rules can match *code*, never prose:
