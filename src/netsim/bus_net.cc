@@ -46,7 +46,8 @@ BusNetwork::wayOf(const Packet &p) const
 void
 BusNetwork::inject(const Packet &p)
 {
-    fatalIf(p.src < 0 || p.src >= nodes_, "packet source out of range");
+    if (p.src < 0 || p.src >= nodes_) // per packet: no fatalIf string
+        fatal("packet source out of range");
     Way &way = ways_[static_cast<std::size_t>(wayOf(p))];
     auto &q = way.queues[static_cast<std::size_t>(p.src)];
     PendingTx tx;

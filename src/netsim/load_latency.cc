@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
 #include <string>
-#include <unordered_map>
 
 #include "util/diag.hh"
 #include "util/parallel.hh"
@@ -12,6 +13,58 @@
 
 namespace cryo::netsim
 {
+
+namespace
+{
+
+/**
+ * Injection cycles of the requests still awaiting their response,
+ * indexed by packet id. The traffic generator numbers packets
+ * consecutively, so the open ids form a window that slides forward
+ * as its oldest requests complete: an id-indexed array with no
+ * per-request allocation or hashing.
+ */
+class OutstandingRequests
+{
+  public:
+    void
+    open(std::uint64_t id, Cycle injected)
+    {
+        if (cycles_.empty())
+            base_ = id;
+        if (id != base_ + cycles_.size())
+            panic("request ids must be consecutive");
+        cycles_.push_back(injected);
+    }
+
+    /** Close @p id; false if it is not open. */
+    bool
+    close(std::uint64_t id, Cycle &injected)
+    {
+        if (id < base_ || id - base_ >= cycles_.size())
+            return false;
+        Cycle &c = cycles_[id - base_];
+        if (c == kClosed)
+            return false;
+        injected = c;
+        c = kClosed;
+        while (!cycles_.empty() && cycles_.front() == kClosed) {
+            cycles_.pop_front();
+            ++base_;
+        }
+        return true;
+    }
+
+    void clear() { cycles_.clear(); }
+
+  private:
+    static constexpr Cycle kClosed = std::numeric_limits<Cycle>::max();
+
+    std::uint64_t base_ = 0; ///< id of cycles_.front()
+    std::deque<Cycle> cycles_;
+};
+
+} // namespace
 
 LoadPoint
 measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
@@ -33,7 +86,7 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
 
     // Round-trip bookkeeping for request-response mode: request id ->
     // original injection cycle.
-    std::unordered_map<std::uint64_t, Cycle> outstanding;
+    OutstandingRequests outstanding;
     constexpr std::uint64_t kResponseBit = 1ull << 62;
 
     RunningStats lat;
@@ -45,7 +98,7 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
             for (const Packet &p : gen.tick(net->now())) {
                 net->inject(p);
                 if (traffic.responseFlits > 0)
-                    outstanding[p.id] = net->now();
+                    outstanding.open(p.id, net->now());
             }
             net->step();
             for (const Packet &p : net->drainDelivered()) {
@@ -61,13 +114,11 @@ measureLoadPoint(const NetworkFactory &factory, TrafficSpec traffic,
                         net->inject(resp);
                         continue;
                     }
-                    const std::uint64_t orig = p.id & ~kResponseBit;
-                    const auto it = outstanding.find(orig);
-                    if (it == outstanding.end())
+                    Cycle injected = 0;
+                    if (!outstanding.close(p.id & ~kResponseBit, injected))
                         continue; // response to a pre-window request
                     const double rtt =
-                        static_cast<double>(net->now() - it->second);
-                    outstanding.erase(it);
+                        static_cast<double>(net->now() - injected);
                     if (record) {
                         lat.add(rtt);
                         hist.add(rtt);

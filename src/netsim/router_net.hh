@@ -18,7 +18,7 @@
 #ifndef CRYOWIRE_NETSIM_ROUTER_NET_HH
 #define CRYOWIRE_NETSIM_ROUTER_NET_HH
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "netsim/network.hh"
@@ -45,6 +45,17 @@ struct RouterNetConfig
 
 /**
  * The router-network simulator.
+ *
+ * Switch allocation is request-driven. A flit's next hop is computed
+ * once, when it enters a queue, and each output link (and each
+ * router's ejection port) keeps the set of input-queue positions
+ * whose front flit requests it. A link walks only its requesters, in
+ * the same round-robin order a scan of every input queue would use,
+ * so it picks the same winner. A requester set changes only when a
+ * queue's front does: a push into an empty queue, or any pop. A pop
+ * updates the sets at once, so a front it exposes is seen by every
+ * link serviced later in the same cycle, exactly as a full scan
+ * would see it.
  */
 class RouterNetwork : public Network
 {
@@ -55,7 +66,7 @@ class RouterNetwork : public Network
     void step() override;
     Cycle now() const override { return now_; }
     int nodes() const override { return cfg_.cores; }
-    std::size_t inFlight() const override { return active_.size(); }
+    std::size_t inFlight() const override { return live_; }
 
     int routerCount() const { return routers_; }
 
@@ -65,15 +76,31 @@ class RouterNetwork : public Network
     /** The flow's VC on every link (deterministic, order-preserving). */
     int flowVc(int src, int dst) const;
 
+    /**
+     * Check the whole simulator state; throws cryo::FatalError naming
+     * the first violated invariant:
+     *  - injected flits = delivered + queued + in flight;
+     *  - each queue's `reserved` lies in [0, capacity] and equals its
+     *    queued plus inbound flits;
+     *  - every locked VC's owner is a live packet;
+     *  - every requester set equals the one recomputed from the
+     *    queue fronts.
+     *
+     * For tests: step() never calls it.
+     */
+    void checkInvariants() const;
+
   private:
     struct FlitEntry
     {
-        std::uint64_t pkt;
-        int seq;
-        bool head;
-        bool tail;
-        int vc; ///< virtual channel of the flow
         Cycle readyAt;
+        std::uint32_t slot; ///< packet-table slot
+        /** Requester set the flit joins at its queue's front: an
+         * output link id, or linkCount + router to eject. */
+        std::int16_t req;
+        std::int8_t vc; ///< virtual channel of the flow
+        bool head : 1;
+        bool tail : 1;
     };
 
     struct InQueue
@@ -81,6 +108,8 @@ class RouterNetwork : public Network
         SlidingQueue<FlitEntry> q; ///< contiguous, arena-backed
         int reserved = 0;          ///< occupied + in-flight slots
         int capacity = 0;          ///< 0 = unbounded (NI source queues)
+        int router = 0;            ///< router whose input this is
+        int pos = 0;               ///< index in inQueueIds_[router]
 
         explicit InQueue(MonotonicArena &arena) : q(arena) {}
     };
@@ -91,10 +120,13 @@ class RouterNetwork : public Network
         int to;
         int toQueueBase; ///< first VC queue id at the destination
         int cycles;
-        /** Wormhole owner per VC (0 = free). */
-        std::vector<std::uint64_t> lockedPkt;
-        /** Input queue feeding each VC's owner. */
-        std::vector<int> lockedQueue;
+    };
+
+    /** Wormhole owner of one VC at one output link. */
+    struct VcLock
+    {
+        std::uint32_t owner = 0; ///< packet slot + 1 (0 = free)
+        int queue = -1;          ///< input queue feeding the owner
     };
 
     struct Arrival
@@ -109,16 +141,44 @@ class RouterNetwork : public Network
     int routerY(int r) const { return r / gridSide_; }
     int routerAt(int x, int y) const { return y * gridSide_ + x; }
 
-    /** Output link id for the next hop toward @p dst_router; -1 if
-     * the packet ejects here. */
-    int route(int router, int dst_router) const;
+    /** Next router on the route from @p router to @p dst_router. */
+    int nextRouter(int router, int dst_router) const;
+
+    /** Requester set of a flit for @p dst_node queued at @p router. */
+    std::int16_t
+    requestAt(int router, int dst_node) const
+    {
+        return nextReq_[static_cast<std::size_t>(router * routers_ +
+                                                 routerOf(dst_node))];
+    }
 
     void buildMeshLinks(int spacing_hops);
     void buildButterflyLinks(int spacing_hops);
     void addLink(int from, int to, int cycles);
+    void buildRoutes();
 
-    /** Try to advance one flit through output link @p l. */
-    void serviceLink(Link &l);
+    std::uint64_t *
+    mask(int req)
+    {
+        return &reqMask_[static_cast<std::size_t>(req) * words_];
+    }
+    const std::uint64_t *
+    mask(int req) const
+    {
+        return &reqMask_[static_cast<std::size_t>(req) * words_];
+    }
+    bool anyRequest(int req) const;
+
+    /** Append a flit, joining its requester set if it is the front. */
+    void pushFlit(InQueue &q, const FlitEntry &f);
+
+    /** Remove the front flit and move the queue's position to the
+     * requester set of the flit behind it. */
+    void popFlit(InQueue &q);
+
+    /** Try to advance one flit through output link @p lid. */
+    void serviceLink(int lid);
+    bool trySend(int lid, int qid);
 
     /** Try to eject one flit at router @p r for each local node. */
     void serviceEjection(int r);
@@ -135,18 +195,28 @@ class RouterNetwork : public Network
      */
     MonotonicArena arena_;
     std::vector<Link> links_;
-    std::vector<std::vector<int>> outLinks_;     ///< per router
+    std::vector<VcLock> locks_;                  ///< [link * VCs + vc]
     std::vector<std::vector<int>> inQueueIds_;   ///< per router
     std::vector<InQueue> queues_;
     std::vector<int> injectQueueId_;             ///< per node
     std::vector<int> rrPointer_;                 ///< per link, RR state
-    std::unordered_map<std::uint64_t, Packet> active_;
-    /** adjacency: (from, to) -> link id. */
-    std::unordered_map<std::uint64_t, int> linkIndex_;
+    /** Requester set per [router][destination router]. */
+    std::vector<std::int16_t> nextReq_;
+    /** Requester sets: one bitmask of input-queue positions per
+     * output link, then one per router for ejection; words_ words
+     * each. */
+    std::vector<std::uint64_t> reqMask_;
+    std::size_t words_ = 1;
+    /** Packet table: slot-indexed, id 0 marks a free slot. */
+    std::vector<Packet> packets_;
+    std::vector<std::uint32_t> freeSlots_;
+    std::size_t live_ = 0;
+    std::uint64_t injectedFlits_ = 0;
+    std::uint64_t ejectedFlits_ = 0;
     std::vector<Arrival, ArenaAllocator<Arrival>> inFlight_{
         ArenaAllocator<Arrival>(arena_)};
-    /** Per-cycle ejection-port mask, reused across cycles. */
-    std::vector<bool> ejectScratch_;
+    /** Per node: its ejection port is busy until this cycle. */
+    std::vector<Cycle> ejectedUntil_;
 };
 
 } // namespace cryo::netsim

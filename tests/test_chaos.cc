@@ -636,11 +636,13 @@ TEST_F(ServeChaos, DrainDeliversEveryReplyAndFlushesTheCache)
     // whatever the drain shed from the queue.
     failpoint::arm("dse.eval", "always:delay(40)");
     std::string burst;
-    for (int i = 0; i < 6; ++i)
-        burst += formatRequest(
-                     evalRequest("g" + std::to_string(i),
-                                 77.0 + 9.0 * i)) +
-                 "\n";
+    for (int i = 0; i < 6; ++i) {
+        // Built with append: GCC 12's -Wrestrict misreads the inlined
+        // "g" + std::to_string(i) concatenation.
+        const std::string id = std::string("g").append(std::to_string(i));
+        burst += formatRequest(evalRequest(id, 77.0 + 9.0 * i));
+        burst += "\n";
+    }
     client.sendRaw(burst);
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
     server.stop();

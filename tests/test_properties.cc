@@ -202,6 +202,7 @@ TEST_P(NetsimFuzz, RouterNetConservesPackets)
             }
         }
         net.step();
+        ASSERT_NO_THROW(net.checkInvariants()) << "cycle " << c;
         for (const auto &d : net.drainDelivered()) {
             auto it = sent.find(d.id);
             ASSERT_NE(it, sent.end());
@@ -211,6 +212,7 @@ TEST_P(NetsimFuzz, RouterNetConservesPackets)
     }
     for (int c = 0; c < 60000 && net.inFlight() > 0; ++c) {
         net.step();
+        ASSERT_NO_THROW(net.checkInvariants()) << "drain cycle " << c;
         for (const auto &d : net.drainDelivered())
             sent.erase(d.id);
     }
@@ -254,6 +256,7 @@ TEST_P(NetsimFuzz, SameFlowOrderPreservedUnderLoad)
             net.inject(noise);
         }
         net.step();
+        ASSERT_NO_THROW(net.checkInvariants()) << "cycle " << c;
         for (const auto &d : net.drainDelivered()) {
             if (d.id < kNoiseBase) {
                 ASSERT_LT(expect_idx, flow_ids.size());

@@ -231,6 +231,53 @@ TEST(RouterNet, RejectsBadPackets)
     EXPECT_THROW(net.inject(makePacket(1, 0, 64)), FatalError);
 }
 
+TEST(RouterNet, QueuesBeyondOneMaskWord)
+{
+    // More than 64 input queues per router spread each requester set
+    // over several mask words: 256-core FB with 8 VCs has 4 + 14 * 8
+    // = 116 queues per router, a 64-core mesh with 20 VCs has 81.
+    RouterNetConfig fb;
+    fb.kind = cryo::noc::TopologyKind::FlattenedButterfly;
+    fb.cores = 256;
+    fb.concentration = 4;
+    fb.virtualChannels = 8;
+    RouterNetConfig mesh = meshConfig();
+    mesh.virtualChannels = 20;
+    mesh.vcBufferFlits = 1;
+    for (const RouterNetConfig &cfg : {fb, mesh}) {
+        RouterNetwork net(cfg);
+        cryo::Rng rng(11);
+        std::uint64_t id = 1;
+        std::size_t delivered = 0;
+        for (int c = 0; c < 600; ++c) {
+            for (int n = 0; n < cfg.cores; ++n) {
+                if (rng.chance(0.05)) {
+                    const int dst = static_cast<int>(
+                        rng.below(static_cast<std::uint64_t>(cfg.cores)));
+                    net.inject(makePacket(id++, n, dst, 3));
+                }
+            }
+            net.step();
+            ASSERT_NO_THROW(net.checkInvariants()) << "cycle " << c;
+            delivered += net.drainDelivered().size();
+        }
+        for (int c = 0; c < 20000 && net.inFlight() > 0; ++c) {
+            net.step();
+            delivered += net.drainDelivered().size();
+        }
+        ASSERT_NO_THROW(net.checkInvariants());
+        EXPECT_EQ(net.inFlight(), 0u);
+        EXPECT_EQ(delivered, id - 1);
+    }
+}
+
+TEST(RouterNet, RejectsTooManyVcs)
+{
+    RouterNetConfig cfg = meshConfig();
+    cfg.virtualChannels = 128; // VC ids are 8-bit
+    EXPECT_THROW(RouterNetwork{cfg}, FatalError);
+}
+
 TEST(RouterNet, RejectsUnsupportedTopology)
 {
     RouterNetConfig cfg = meshConfig();

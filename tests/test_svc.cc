@@ -926,7 +926,11 @@ TEST(SvcStress, SoakKeepsOneReplyPerRequest)
                 continue;
             }
             Request r;
-            r.id = "t" + std::to_string(tid) + "-" + std::to_string(j);
+            // Built with a stream: GCC 12's -Wrestrict misreads the
+            // inlined "t" + std::to_string(...) concatenation.
+            std::ostringstream id;
+            id << 't' << tid << '-' << j;
+            r.id = id.str();
             r.op = Op::kEval;
             r.point = pool[(tid + j) % pool.size()];
             if (j % 3 == 0)
