@@ -2,9 +2,9 @@
  * @file
  * Microbenchmarks of the cycle-accurate simulator kernels: bus
  * stepping, router stepping, arbitration, and traffic generation.
- * These exercise the arena-backed queue paths; there is no separate
- * batch variant, so the gate tracks scalar ns/op only.  Emits the
- * cryowire-bench/1 JSON consumed by tools/bench_gate.py.
+ * There is no separate batch variant, so the gate tracks scalar ns/op
+ * only.  Emits the cryowire-bench/1 JSON consumed by
+ * tools/bench_gate.py.
  */
 
 #include <string>

@@ -1,16 +1,15 @@
 /**
  * @file
  * Shared netsim factories for the load-latency experiments (Figs 18,
- * 21, 25, 26) and the parallel-scaling bench: bind an analytic NoC
- * design point to a cycle-accurate network factory, and size the
- * measurement window for experiment runtime.
+ * 21, 25, 26): bind an analytic NoC design point to a cycle-accurate
+ * network factory, and size the measurement window for experiment
+ * runtime.
  */
 
 #ifndef CRYOWIRE_EXP_NETSIM_SUPPORT_HH
 #define CRYOWIRE_EXP_NETSIM_SUPPORT_HH
 
 #include <memory>
-#include <vector>
 
 #include "netsim/bus_net.hh"
 #include "netsim/load_latency.hh"
@@ -51,21 +50,6 @@ measureOpts()
     o.warmupCycles = 1500;
     o.measureCycles = 5000;
     return o;
-}
-
-/**
- * A dense rate grid spanning [lo, hi] for sweep-scaling runs; every
- * point is an independent simulation, so the grid size sets the
- * available parallelism.
- */
-inline std::vector<double>
-denseRates(double lo, double hi, std::size_t points)
-{
-    std::vector<double> rates(points);
-    for (std::size_t i = 0; i < points; ++i)
-        rates[i] = lo + (hi - lo) * static_cast<double>(i) /
-            static_cast<double>(points - 1);
-    return rates;
 }
 
 } // namespace cryo::exp

@@ -9,12 +9,13 @@
 #ifndef CRYOWIRE_NETSIM_BUS_NET_HH
 #define CRYOWIRE_NETSIM_BUS_NET_HH
 
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "netsim/arbiter.hh"
 #include "netsim/network.hh"
 #include "noc/noc_config.hh"
-#include "util/arena.hh"
 
 namespace cryo::netsim
 {
@@ -62,7 +63,7 @@ class BusNetwork : public Network
     struct Way
     {
         MatrixArbiter arbiter;
-        std::vector<SlidingQueue<PendingTx>> queues; ///< per node
+        std::vector<std::deque<PendingTx>> queues; ///< per node
         Cycle nextFree = 0;
         std::uint64_t busyCycles = 0;
         /**
@@ -71,14 +72,11 @@ class BusNetwork : public Network
          * window; the grant-to-broadcast-start gap leaves the medium
          * idle (nextFree alone would overcount it as busy).
          */
-        SlidingQueue<std::pair<Cycle, Cycle>> busyWindows;
+        std::deque<std::pair<Cycle, Cycle>> busyWindows;
 
-        Way(int nodes, MonotonicArena &arena)
-            : arbiter(nodes), busyWindows(arena)
+        explicit Way(int nodes)
+            : arbiter(nodes), queues(static_cast<std::size_t>(nodes))
         {
-            queues.reserve(static_cast<std::size_t>(nodes));
-            for (int n = 0; n < nodes; ++n)
-                queues.emplace_back(arena);
         }
     };
 
@@ -88,15 +86,9 @@ class BusNetwork : public Network
     BusTiming timing_;
     Cycle now_ = 0;
     std::size_t inFlight_ = 0;
-    /**
-     * Per-simulation arena backing every queue below; declared first
-     * so it outlives (destructs after) the containers that use it.
-     */
-    MonotonicArena arena_;
     std::vector<Way> ways_;
     /** Transactions broadcast but whose tail has not completed yet. */
-    std::vector<std::pair<Cycle, Packet>, ArenaAllocator<std::pair<Cycle, Packet>>>
-        completing_{ArenaAllocator<std::pair<Cycle, Packet>>(arena_)};
+    std::vector<std::pair<Cycle, Packet>> completing_;
     /** Per-cycle request lines, reused across cycles (no per-tick alloc). */
     std::vector<bool> requestScratch_;
 };

@@ -73,7 +73,7 @@ RouterNetwork::RouterNetwork(RouterNetConfig cfg) : cfg_(cfg)
         const int r = routerOf(n);
         const int qid = static_cast<int>(queues_.size());
         auto &in_ids = inQueueIds_[static_cast<std::size_t>(r)];
-        InQueue &q = queues_.emplace_back(arena_);
+        InQueue &q = queues_.emplace_back();
         q.capacity = 0;
         q.router = r;
         q.pos = static_cast<int>(in_ids.size());
@@ -114,7 +114,7 @@ RouterNetwork::addLink(int from, int to, int cycles)
     l.toQueueBase = static_cast<int>(queues_.size());
     auto &in_ids = inQueueIds_[static_cast<std::size_t>(to)];
     for (int v = 0; v < cfg_.virtualChannels; ++v) {
-        InQueue &q = queues_.emplace_back(arena_);
+        InQueue &q = queues_.emplace_back();
         q.capacity = cfg_.vcBufferFlits;
         q.router = to;
         q.pos = static_cast<int>(in_ids.size());

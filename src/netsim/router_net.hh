@@ -19,11 +19,11 @@
 #define CRYOWIRE_NETSIM_ROUTER_NET_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "netsim/network.hh"
 #include "noc/noc_config.hh"
-#include "util/arena.hh"
 
 namespace cryo::netsim
 {
@@ -105,13 +105,11 @@ class RouterNetwork : public Network
 
     struct InQueue
     {
-        SlidingQueue<FlitEntry> q; ///< contiguous, arena-backed
-        int reserved = 0;          ///< occupied + in-flight slots
-        int capacity = 0;          ///< 0 = unbounded (NI source queues)
-        int router = 0;            ///< router whose input this is
-        int pos = 0;               ///< index in inQueueIds_[router]
-
-        explicit InQueue(MonotonicArena &arena) : q(arena) {}
+        std::deque<FlitEntry> q;
+        int reserved = 0; ///< occupied + in-flight slots
+        int capacity = 0; ///< 0 = unbounded (NI source queues)
+        int router = 0;   ///< router whose input this is
+        int pos = 0;      ///< index in inQueueIds_[router]
     };
 
     struct Link
@@ -188,12 +186,6 @@ class RouterNetwork : public Network
     int gridSide_;
     Cycle now_ = 0;
 
-    /**
-     * Per-simulation arena backing the flit queues and the in-flight
-     * event list; declared before every container that allocates from
-     * it so destruction runs in the safe order.
-     */
-    MonotonicArena arena_;
     std::vector<Link> links_;
     std::vector<VcLock> locks_;                  ///< [link * VCs + vc]
     std::vector<std::vector<int>> inQueueIds_;   ///< per router
@@ -213,8 +205,7 @@ class RouterNetwork : public Network
     std::size_t live_ = 0;
     std::uint64_t injectedFlits_ = 0;
     std::uint64_t ejectedFlits_ = 0;
-    std::vector<Arrival, ArenaAllocator<Arrival>> inFlight_{
-        ArenaAllocator<Arrival>(arena_)};
+    std::vector<Arrival> inFlight_;
     /** Per node: its ejection port is busy until this cycle. */
     std::vector<Cycle> ejectedUntil_;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/diag.hh"
-#include "util/parallel.hh"
 #include "util/validate.hh"
 
 namespace cryo::sys
@@ -251,11 +250,13 @@ IntervalSimulator::runSuite(const SystemDesign &design,
     CRYO_CONTEXT("interval_sim suite: design=" + design.name);
     design.validate();
     const DesignInvariants inv = deriveInvariants(design);
-    // Independent simulations; index-ordered results keep downstream
-    // reductions bitwise-stable across job counts.
-    return parallelMap(suite.size(), [&](std::size_t i) {
-        return simulateOne(design, suite[i], inv);
-    });
+    // Each simulation takes about a microsecond: a plain loop beats
+    // fanning the suite out over the pool.
+    std::vector<SimResult> out;
+    out.reserve(suite.size());
+    for (const Workload &w : suite)
+        out.push_back(simulateOne(design, w, inv));
+    return out;
 }
 
 double

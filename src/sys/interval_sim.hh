@@ -108,8 +108,8 @@ class IntervalSimulator
      * Simulate a whole workload suite on one design.  Validates the
      * design and derives its interconnect invariants (memory-system
      * latency, saturation bandwidth, sync-op cost, queueing service
-     * time) once instead of once per workload; the independent fixed
-     * points then run in parallel.  Results are index-aligned with
+     * time) once instead of once per workload; the fixed points then
+     * run in a serial loop.  Results are index-aligned with
      * @p suite and bit-identical to per-workload run() calls.
      */
     std::vector<SimResult> runSuite(const SystemDesign &design,

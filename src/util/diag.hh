@@ -110,9 +110,17 @@ class FatalError : public std::runtime_error
 void warn(const std::string &msg,
           std::source_location loc = std::source_location::current());
 
-/** fatal() unless @p cond holds. */
+/** fatal() when @p cond holds. */
 inline void
 fatalIf(bool cond, const std::string &msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
+/** fatal() when @p cond holds; builds no std::string unless it does. */
+inline void
+fatalIf(bool cond, const char *msg)
 {
     if (cond)
         fatal(msg);

@@ -330,6 +330,21 @@ TEST(Log, FatalThrows)
     EXPECT_THROW(fatal("boom"), FatalError);
     EXPECT_THROW(fatalIf(true, "boom"), FatalError);
     EXPECT_NO_THROW(fatalIf(false, "fine"));
+
+    // Both overloads: a literal (const char *) and a built std::string.
+    auto message_of = [](auto &&raise) {
+        try {
+            raise();
+        } catch (const FatalError &e) {
+            return e.message();
+        }
+        return std::string("<no throw>");
+    };
+    EXPECT_EQ(message_of([] { fatalIf(true, "literal message"); }),
+              "literal message");
+    const std::string built = std::string("built ") + "message";
+    EXPECT_EQ(message_of([&] { fatalIf(true, built); }), "built message");
+    EXPECT_NO_THROW(fatalIf(false, built));
 }
 
 TEST(Diag, FatalCarriesContextChain)
