@@ -1,7 +1,6 @@
 #include "evaluation.hh"
 
 #include "util/diag.hh"
-#include "util/parallel.hh"
 
 namespace cryo::core
 {
@@ -27,23 +26,20 @@ Evaluator::evaluate(const std::vector<sys::SystemDesign> &designs,
         out.workloads.push_back(w.name);
 
     // Every (workload, design) cell is an independent interval
-    // simulation; run them all concurrently and normalize afterwards
-    // (the simulator is stateless, so cell i's result is a pure
-    // function of its inputs and the matrix is deterministic at any
-    // job count).
+    // simulation of about a microsecond: a plain loop, since fanning
+    // out cells this small costs more than it saves.
     const std::size_t cols = designs.size();
-    const auto time = parallelMap(
-        suite.size() * cols, [&](std::size_t k) {
-            return sim_.run(designs[k % cols], suite[k / cols])
-                .timePerInstr;
-        });
+    std::vector<double> tpi(suite.size() * cols); ///< time/instr
+    for (std::size_t k = 0; k < tpi.size(); ++k)
+        tpi[k] = sim_.run(designs[k % cols], suite[k / cols])
+                     .timePerInstr;
 
     out.perf.assign(suite.size(),
                     std::vector<double>(designs.size(), 0.0));
     for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-        const double base_time = time[wi * cols + baseline_idx];
+        const double base_time = tpi[wi * cols + baseline_idx];
         for (std::size_t di = 0; di < cols; ++di)
-            out.perf[wi][di] = base_time / time[wi * cols + di];
+            out.perf[wi][di] = base_time / tpi[wi * cols + di];
     }
 
     out.mean.assign(designs.size(), 0.0);

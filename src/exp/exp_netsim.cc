@@ -15,6 +15,7 @@
 #include "exp/registry.hh"
 #include "netsim/hybrid_net.hh"
 #include "sys/workload.hh"
+#include "util/parallel.hh"
 
 namespace cryo::exp
 {
@@ -115,30 +116,48 @@ runFig21(const Context &ctx, ExperimentResult &r)
     add_bus(designer.cryoBus(), 1, "CryoBus");
     add_bus(designer.cryoBus(), 2, "CryoBus (2-way)");
 
+    // Each design's measurements are independent simulations: one
+    // task per design, rows and anchors filled in design order.
+    struct Measured
+    {
+        double zl = 0.0; ///< ns
+        std::vector<std::string> cells;
+        double sat = 0.0;
+    };
+    const auto measured = parallelMap(
+        designs.size(),
+        [&](std::size_t i) {
+            const Design &d = designs[i];
+            Measured m;
+            m.cells.push_back(d.label);
+            m.zl = zeroLoadLatency(d.factory, d.traffic, opts) /
+                   d.clock * 1e9;
+            m.cells.push_back(Table::num(m.zl, 2));
+            for (double rate : {0.006, 0.012, 0.02}) {
+                TrafficSpec spec = d.traffic;
+                spec.injectionRate = rate / d.rateRef; // per design cycle
+                const auto pt = measureLoadPoint(d.factory, spec, opts);
+                m.cells.push_back(
+                    pt.saturated
+                        ? std::string("sat")
+                        : Table::num(pt.avgLatency / d.clock * 1e9, 2));
+            }
+            m.sat = saturationRate(d.factory, d.traffic, 0.6, 0.002,
+                                   opts) *
+                    d.rateRef;
+            m.cells.push_back(Table::num(m.sat, 4));
+            return m;
+        },
+        ParallelOptions{0, 1});
+
     Table &t = r.table({"design", "zero-load (ns)", "lat@0.006",
                         "lat@0.012", "lat@0.02",
                         "saturation (req/node/cyc)"});
-    for (auto &d : designs) {
-        TrafficSpec tr = d.traffic;
-        std::vector<std::string> cells{d.label};
-        const double zl =
-            zeroLoadLatency(d.factory, tr, opts) / d.clock * 1e9;
-        cells.push_back(Table::num(zl, 2));
-        for (double rate : {0.006, 0.012, 0.02}) {
-            TrafficSpec spec = tr;
-            spec.injectionRate = rate / d.rateRef; // per design cycle
-            const auto pt = measureLoadPoint(d.factory, spec, opts);
-            cells.push_back(
-                pt.saturated
-                    ? std::string("sat")
-                    : Table::num(pt.avgLatency / d.clock * 1e9, 2));
-        }
-        TrafficSpec spec = tr;
-        const double sat =
-            saturationRate(d.factory, spec, 0.6, 0.002, opts) *
-            d.rateRef;
-        cells.push_back(Table::num(sat, 4));
-        t.addRow(cells);
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        const Design &d = designs[i];
+        const double zl = measured[i].zl;
+        const double sat = measured[i].sat;
+        t.addRow(measured[i].cells);
 
         if (d.label == "CryoBus") {
             r.anchored("cryobus-zero-load-ns", zl, 1.25, 0.05, "ns");
@@ -200,16 +219,27 @@ runFig25(const Context &ctx, ExperimentResult &r)
         header.push_back(p.first);
     Table &t = r.table(header);
 
+    // One independent saturation search per (design, pattern).
+    const std::size_t np = patterns.size();
+    const auto sats = parallelMap(
+        designs.size() * np,
+        [&](std::size_t k) {
+            const Design &d = designs[k / np];
+            TrafficSpec tr = d.base;
+            tr.pattern = patterns[k % np].second;
+            return saturationRate(d.factory, tr, 0.6, 0.003, opts) *
+                   d.rateRef;
+        },
+        ParallelOptions{0, 1});
+
     double cb_uniform = 0.0, cb_hotspot = 0.0, cb2_hotspot = 0.0;
     double fb_hotspot = 0.0;
-    for (auto &d : designs) {
+    for (std::size_t di = 0; di < designs.size(); ++di) {
+        const Design &d = designs[di];
         std::vector<std::string> row{d.label};
-        for (const auto &p : patterns) {
-            TrafficSpec tr = d.base;
-            tr.pattern = p.second;
-            const double sat =
-                saturationRate(d.factory, tr, 0.6, 0.003, opts) *
-                d.rateRef;
+        for (std::size_t pi = 0; pi < np; ++pi) {
+            const auto &p = patterns[pi];
+            const double sat = sats[di * np + pi];
             row.push_back(Table::num(sat, 4));
             if (d.label == "CryoBus" &&
                 p.second == TrafficPattern::UniformRandom)
@@ -260,36 +290,53 @@ runFig26(const Context &ctx, ExperimentResult &r)
         return std::make_unique<HybridNetwork>(hc2);
     };
 
-    const TrafficSpec tr = ctx.traffic();
+    const std::vector<noc::NocConfig> routers = {
+        designer256.mesh(77.0, 1), designer256.cmesh(77.0, 3),
+        designer256.flattenedButterfly(77.0, 3)};
+    struct Design
+    {
+        NetworkFactory factory;
+        TrafficSpec traffic;
+        double hi;  ///< saturation search bracket
+        double tol; ///< and its tolerance
+    };
+    std::vector<Design> designs = {
+        {hybrid1, ctx.traffic(), 0.05, 0.0005},
+        {hybrid2, ctx.traffic(), 0.05, 0.0005}};
+    for (const auto &cfg : routers)
+        designs.push_back(
+            {routerFactory(cfg), ctx.directoryTraffic(), 0.5, 0.002});
+
+    // Zero-load runs and saturation searches are independent: task
+    // 2i is design i's zero-load latency, 2i + 1 its saturation rate,
+    // both in raw design cycles and packets/node/cycle.
+    const auto raw = parallelMap(
+        2 * designs.size(),
+        [&](std::size_t k) {
+            const Design &d = designs[k / 2];
+            return k % 2 == 0
+                ? zeroLoadLatency(d.factory, d.traffic, opts)
+                : saturationRate(d.factory, d.traffic, d.hi, d.tol,
+                                 opts);
+        },
+        ParallelOptions{0, 1});
+
     Table &t = r.table({"design (256 cores)", "zero-load (ns)",
                         "saturation (req/node/cyc)"});
-
-    double hybrid_zl = 0.0, hybrid_sat = 0.0, hybrid2_sat = 0.0;
-    auto add_hybrid = [&](const char *label,
-                          const NetworkFactory &factory, double &zl_out,
-                          double &sat_out) {
-        zl_out = zeroLoadLatency(factory, tr, opts) / 4.0;
-        sat_out = saturationRate(factory, tr, 0.05, 0.0005, opts);
-        t.addRow({label, Table::num(zl_out, 2),
-                  Table::num(sat_out, 4)});
-    };
-    double zl2_unused = 0.0;
-    add_hybrid("Hybrid CryoBus", hybrid1, hybrid_zl, hybrid_sat);
-    add_hybrid("Hybrid CryoBus (2-way)", hybrid2, zl2_unused,
-               hybrid2_sat);
+    const double hybrid_zl = raw[0] / 4.0;
+    const double hybrid_sat = raw[1];
+    const double hybrid2_sat = raw[3];
+    t.addRow({"Hybrid CryoBus", Table::num(hybrid_zl, 2),
+              Table::num(hybrid_sat, 4)});
+    t.addRow({"Hybrid CryoBus (2-way)", Table::num(raw[2] / 4.0, 2),
+              Table::num(hybrid2_sat, 4)});
 
     double min_router_zl = 1e30;
-    for (const auto &cfg :
-         {designer256.mesh(77.0, 1), designer256.cmesh(77.0, 3),
-          designer256.flattenedButterfly(77.0, 3)}) {
-        auto factory = routerFactory(cfg);
-        TrafficSpec dir = ctx.directoryTraffic();
-        const double zl =
-            zeroLoadLatency(factory, dir, opts) / cfg.clockFreq() *
-            1e9;
+    for (std::size_t i = 0; i < routers.size(); ++i) {
+        const noc::NocConfig &cfg = routers[i];
+        const double zl = raw[2 * (i + 2)] / cfg.clockFreq() * 1e9;
         const double sat =
-            saturationRate(factory, dir, 0.5, 0.002, opts) *
-            cfg.clockFreq() / 4.0e9;
+            raw[2 * (i + 2) + 1] * cfg.clockFreq() / 4.0e9;
         t.addRow({cfg.name(), Table::num(zl, 2), Table::num(sat, 4)});
         min_router_zl = std::min(min_router_zl, zl);
     }

@@ -26,8 +26,8 @@ MatrixArbiter::beats(int a, int b) const
 int
 MatrixArbiter::arbitrate(const std::vector<bool> &requests)
 {
-    if (static_cast<int>(requests.size()) != n_) // per cycle: no fatalIf
-        fatal("request vector size mismatch");
+    fatalIf(static_cast<int>(requests.size()) != n_,
+            "request vector size mismatch");
     int winner = -1;
     for (int i = 0; i < n_; ++i) {
         if (!requests[i])
@@ -63,8 +63,8 @@ RoundRobinArbiter::RoundRobinArbiter(int requesters) : n_(requesters)
 int
 RoundRobinArbiter::arbitrate(const std::vector<bool> &requests)
 {
-    if (static_cast<int>(requests.size()) != n_) // per cycle: no fatalIf
-        fatal("request vector size mismatch");
+    fatalIf(static_cast<int>(requests.size()) != n_,
+            "request vector size mismatch");
     for (int k = 0; k < n_; ++k) {
         const int i = (next_ + k) % n_;
         if (requests[i]) {

@@ -46,8 +46,7 @@ BusNetwork::wayOf(const Packet &p) const
 void
 BusNetwork::inject(const Packet &p)
 {
-    if (p.src < 0 || p.src >= nodes_) // per packet: no fatalIf string
-        fatal("packet source out of range");
+    fatalIf(p.src < 0 || p.src >= nodes_, "packet source out of range");
     Way &way = ways_[static_cast<std::size_t>(wayOf(p))];
     auto &q = way.queues[static_cast<std::size_t>(p.src)];
     PendingTx tx;

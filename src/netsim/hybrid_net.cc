@@ -38,11 +38,8 @@ HybridNetwork::meshLatency(int src_cluster, int dst_cluster) const
 void
 HybridNetwork::inject(const Packet &p)
 {
-    // Per packet: plain branches, so no fatalIf string is built.
-    if (p.src < 0 || p.src >= nodes())
-        fatal("source out of range");
-    if (p.dst < 0 || p.dst >= nodes())
-        fatal("destination out of range");
+    fatalIf(p.src < 0 || p.src >= nodes(), "source out of range");
+    fatalIf(p.dst < 0 || p.dst >= nodes(), "destination out of range");
     Packet orig = p;
     orig.injected = now_;
     origin_[p.id] = orig;

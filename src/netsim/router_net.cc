@@ -31,6 +31,8 @@ RouterNetConfig::fromConfig(const noc::NocConfig &cfg)
 RouterNetwork::RouterNetwork(RouterNetConfig cfg) : cfg_(cfg)
 {
     fatalIf(cfg_.cores < 4, "network needs at least 4 cores");
+    fatalIf(cfg_.cores > std::numeric_limits<std::int16_t>::max(),
+            "at most 32767 cores");
     fatalIf(cfg_.concentration < 1, "concentration must be >= 1");
     fatalIf(cfg_.cores % cfg_.concentration != 0,
             "cores must divide evenly across routers");
@@ -282,23 +284,32 @@ nextSet(const std::uint64_t *m, int from, int end)
 void
 RouterNetwork::inject(const Packet &p)
 {
-    // Per packet: plain branches, so no fatalIf string is built.
-    if (p.src < 0 || p.src >= cfg_.cores)
-        fatal("source out of range");
-    if (p.dst < 0 || p.dst >= cfg_.cores)
-        fatal("destination out of range");
-    if (p.id == 0)
-        fatal("packet ids must be non-zero");
+    using Flits = std::numeric_limits<std::int16_t>;
+    using Tag = std::numeric_limits<std::int8_t>;
+    fatalIf(p.src < 0 || p.src >= cfg_.cores, "source out of range");
+    fatalIf(p.dst < 0 || p.dst >= cfg_.cores,
+            "destination out of range");
+    fatalIf(p.id == 0, "packet ids must be non-zero");
+    fatalIf(p.flits < 1 || p.flits > Flits::max(),
+            "packet flits outside [1, 32767]");
+    fatalIf(p.tag < Tag::min() || p.tag > Tag::max(),
+            "packet tag outside [-128, 127]");
+    const LivePacket live{p.id,
+                          now_,
+                          static_cast<std::int16_t>(p.src),
+                          static_cast<std::int16_t>(p.dst),
+                          static_cast<std::int16_t>(p.flits),
+                          static_cast<std::int8_t>(p.tag),
+                          p.broadcast};
     std::uint32_t slot;
     if (freeSlots_.empty()) {
         slot = static_cast<std::uint32_t>(packets_.size());
-        packets_.push_back(p);
+        packets_.push_back(live);
     } else {
         slot = freeSlots_.back();
         freeSlots_.pop_back();
-        packets_[slot] = p;
+        packets_[slot] = live;
     }
-    packets_[slot].injected = now_;
     ++live_;
     injectedFlits_ += static_cast<std::uint64_t>(p.flits);
 
@@ -402,15 +413,21 @@ RouterNetwork::serviceEjection(int r)
             const FlitEntry &f = q.q.front();
             if (f.readyAt > now_)
                 continue;
-            Packet &pkt = packets_[f.slot];
+            LivePacket &pkt = packets_[f.slot];
             Cycle &port_busy = ejectedUntil_[static_cast<std::size_t>(
                 pkt.dst)];
             if (port_busy > now_)
                 continue;
             port_busy = now_ + 1;
             if (f.tail) {
-                pkt.delivered = now_;
-                delivered_.push_back(pkt);
+                delivered_.push_back({.id = pkt.id,
+                                      .src = pkt.src,
+                                      .dst = pkt.dst,
+                                      .broadcast = pkt.broadcast,
+                                      .flits = pkt.flits,
+                                      .tag = pkt.tag,
+                                      .injected = pkt.injected,
+                                      .delivered = now_});
                 pkt.id = 0;
                 freeSlots_.push_back(f.slot);
                 --live_;
@@ -467,7 +484,7 @@ RouterNetwork::checkInvariants() const
     };
 
     std::size_t live = 0;
-    for (const Packet &p : packets_)
+    for (const LivePacket &p : packets_)
         live += p.id != 0 ? 1 : 0;
     if (live != live_)
         fail("live packet count " + std::to_string(live_) + " != " +

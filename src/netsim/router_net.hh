@@ -103,6 +103,20 @@ class RouterNetwork : public Network
         bool tail : 1;
     };
 
+    /** A live packet's table entry; the delivered Packet is rebuilt
+     * from it at ejection. */
+    struct LivePacket
+    {
+        std::uint64_t id; ///< 0 marks a free slot
+        Cycle injected;
+        std::int16_t src;
+        std::int16_t dst;
+        std::int16_t flits;
+        std::int8_t tag;
+        bool broadcast;
+    };
+    static_assert(sizeof(LivePacket) == 24);
+
     struct InQueue
     {
         std::deque<FlitEntry> q;
@@ -199,8 +213,10 @@ class RouterNetwork : public Network
      * each. */
     std::vector<std::uint64_t> reqMask_;
     std::size_t words_ = 1;
-    /** Packet table: slot-indexed, id 0 marks a free slot. */
-    std::vector<Packet> packets_;
+    /** Packet table: slot-indexed, id 0 marks a free slot. A deque
+     * grows without copying, and a saturated probe can hold about
+     * 200k live packets. */
+    std::deque<LivePacket> packets_;
     std::vector<std::uint32_t> freeSlots_;
     std::size_t live_ = 0;
     std::uint64_t injectedFlits_ = 0;

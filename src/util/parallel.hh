@@ -10,13 +10,22 @@
  * output is bitwise-identical at any job count, including 1.
  *
  * Reductions that depend on order (argmax with first-wins ties, prefix
- * sums) are performed serially over the index-ordered results; see
- * VoltageOptimizer::optimize for the canonical pattern.
+ * sums, table rows) are performed serially over the index-ordered
+ * results; see runFig25 in exp/exp_netsim.cc for the pattern.
  *
- * The job count resolves as: ParallelOptions::jobs if positive, else
+ * Width. A region's width is ParallelOptions::jobs if positive, else
  * the CRYOWIRE_JOBS environment variable, else the hardware thread
- * count. Nested calls run serially on the caller's thread, so a
- * parallel sweep may safely call code that is itself parallelized.
+ * count, and never more than the width of the region it is nested in.
+ * The body runs under that width on every path, so a nested region
+ * inherits it: at width 1 everything runs on the caller's thread, and
+ * a one-index region still lets its body fan out.
+ *
+ * Nesting. The caller claims chunks alongside up to width - 1 pool
+ * helpers, then waits until every index has completed. A thread waits
+ * only once every chunk is claimed, and each claimed chunk is being
+ * run by a live thread, so nested regions cannot deadlock. A helper
+ * that starts after the last chunk was claimed finds nothing to do and
+ * never touches the body.
  */
 
 #ifndef CRYOWIRE_UTIL_PARALLEL_HH
@@ -27,6 +36,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <type_traits>
 #include <vector>
@@ -48,26 +58,77 @@ struct ParallelOptions
 namespace detail
 {
 
-/** True while this thread executes inside a parallelFor region. */
-inline thread_local bool tls_in_parallel_region = false;
+/** Width of the region this thread is running a body of; 0 = none. */
+inline thread_local int tls_width = 0;
 
-struct ParallelState
+/** Runs a scope under a region's width, restoring the outer one. */
+class WidthScope
 {
+  public:
+    explicit WidthScope(int width) : saved_(tls_width)
+    {
+        tls_width = width;
+    }
+    ~WidthScope() { tls_width = saved_; }
+    WidthScope(const WidthScope &) = delete;
+    WidthScope &operator=(const WidthScope &) = delete;
+
+  private:
+    int saved_;
+};
+
+/** State of one parallelFor region, shared with its pool helpers. */
+struct Region
+{
+    std::size_t n = 0;
+    std::size_t chunk = 1;
+    int width = 1;
+    /** The caller's body, type-erased; valid while chunks remain. */
+    const void *body = nullptr;
+    void (*call)(const void *, std::size_t) = nullptr;
+
     std::atomic<std::size_t> next{0};
     std::mutex mu;
     std::condition_variable cv;
-    int pending = 0;
-    std::exception_ptr error;
+    std::size_t completed = 0; ///< indices done (guarded by mu)
+    std::exception_ptr error;  ///< first failure (guarded by mu)
 };
+
+/** Claim and run chunks of @p r until none is left. */
+inline void
+drain(Region &r)
+{
+    WidthScope scope{r.width};
+    for (;;) {
+        const std::size_t begin =
+            r.next.fetch_add(r.chunk, std::memory_order_relaxed);
+        if (begin >= r.n)
+            return;
+        const std::size_t end = std::min(r.n, begin + r.chunk);
+        std::exception_ptr error;
+        try {
+            for (std::size_t i = begin; i < end; ++i)
+                r.call(r.body, i);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(r.mu);
+        if (error && !r.error)
+            r.error = error;
+        r.completed += end - begin;
+        if (r.completed == r.n)
+            r.cv.notify_all();
+    }
+}
 
 } // namespace detail
 
 /**
  * Run body(i) for every i in [0, n), distributing chunks over the
  * shared pool; blocks until all indices completed. The first exception
- * thrown by any chunk is rethrown on the calling thread (remaining
- * chunks still run). @p body must be safe to invoke concurrently for
- * distinct indices.
+ * thrown by any chunk is rethrown on the calling thread (the rest of
+ * its chunk is skipped; other chunks still run). @p body must be safe
+ * to invoke concurrently for distinct indices.
  */
 template <typename Body>
 void
@@ -75,12 +136,11 @@ parallelFor(std::size_t n, Body &&body, ParallelOptions opts = {})
 {
     if (n == 0)
         return;
-    const int jobs =
-        opts.jobs > 0 ? opts.jobs : ThreadPool::defaultThreads();
-    // Serial paths: width 1, a single index, or a nested call (pool
-    // workers must not block waiting on the queue they drain).
-    if (jobs <= 1 || n == 1 || ThreadPool::inWorker() ||
-        detail::tls_in_parallel_region) {
+    int width = opts.jobs > 0 ? opts.jobs : ThreadPool::defaultThreads();
+    if (detail::tls_width > 0)
+        width = std::min(width, detail::tls_width);
+    if (width <= 1 || n == 1) {
+        detail::WidthScope scope{width};
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
@@ -89,54 +149,32 @@ parallelFor(std::size_t n, Body &&body, ParallelOptions opts = {})
     const std::size_t chunk = opts.chunk > 0
         ? opts.chunk
         : std::max<std::size_t>(
-              1, n / (4 * static_cast<std::size_t>(jobs)));
+              1, n / (4 * static_cast<std::size_t>(width)));
     const std::size_t chunks = (n + chunk - 1) / chunk;
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(jobs), chunks));
+    const int helpers = static_cast<int>(std::min<std::size_t>(
+                            static_cast<std::size_t>(width), chunks)) -
+                        1;
 
-    detail::ParallelState state;
-    auto drain = [&state, &body, n, chunk] {
-        const bool was_in_region = detail::tls_in_parallel_region;
-        detail::tls_in_parallel_region = true;
-        for (;;) {
-            const std::size_t begin =
-                state.next.fetch_add(chunk, std::memory_order_relaxed);
-            if (begin >= n)
-                break;
-            const std::size_t end = std::min(n, begin + chunk);
-            try {
-                for (std::size_t i = begin; i < end; ++i)
-                    body(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(state.mu);
-                if (!state.error)
-                    state.error = std::current_exception();
-            }
-        }
-        detail::tls_in_parallel_region = was_in_region;
+    using Fn = std::remove_reference_t<Body>;
+    auto region = std::make_shared<detail::Region>();
+    region->n = n;
+    region->chunk = chunk;
+    region->width = width;
+    region->body = &body;
+    region->call = [](const void *b, std::size_t i) {
+        (*static_cast<Fn *>(const_cast<void *>(b)))(i);
     };
 
     ThreadPool &pool = ThreadPool::global();
-    pool.ensureWorkers(jobs);
-    {
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.pending = workers - 1;
-    }
-    for (int w = 0; w < workers - 1; ++w) {
-        pool.submit([&state, &drain] {
-            drain();
-            std::lock_guard<std::mutex> lock(state.mu);
-            if (--state.pending == 0)
-                state.cv.notify_one();
-        });
-    }
-    drain(); // the caller works too instead of idling on the wait
-    {
-        std::unique_lock<std::mutex> lock(state.mu);
-        state.cv.wait(lock, [&state] { return state.pending == 0; });
-        if (state.error)
-            std::rethrow_exception(state.error);
-    }
+    pool.ensureWorkers(width);
+    for (int h = 0; h < helpers; ++h)
+        pool.submit([region] { detail::drain(*region); });
+    detail::drain(*region); // the caller works too instead of idling
+
+    std::unique_lock<std::mutex> lock(region->mu);
+    region->cv.wait(lock, [&r = *region] { return r.completed == r.n; });
+    if (region->error)
+        std::rethrow_exception(region->error);
 }
 
 /**

@@ -11,13 +11,6 @@
 namespace cryo
 {
 
-namespace
-{
-
-thread_local bool tls_in_worker = false;
-
-} // namespace
-
 ThreadPool::ThreadPool(int threads)
 {
     fatalIf(threads < 1, "thread pool needs at least one worker");
@@ -127,16 +120,9 @@ ThreadPool::global()
     return pool;
 }
 
-bool
-ThreadPool::inWorker()
-{
-    return tls_in_worker;
-}
-
 void
 ThreadPool::workerLoop()
 {
-    tls_in_worker = true;
     for (;;) {
         std::function<void()> task;
         {

@@ -75,9 +75,6 @@ class ThreadPool
     /** The process-wide pool, created on first use. */
     static ThreadPool &global();
 
-    /** True on a thread currently executing a pool task. */
-    static bool inWorker();
-
   private:
     void workerLoop();
 

@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -103,19 +106,197 @@ TEST(Parallel, PropagatesFirstException)
                  FatalError);
 }
 
-TEST(Parallel, NestedCallsRunSerially)
+/**
+ * A rendezvous of @p count threads: each arrival waits until all have
+ * arrived, or the timeout passes. Parties running serially on one
+ * thread never meet, so a met rendezvous proves they ran concurrently.
+ */
+class Rendezvous
 {
-    std::atomic<int> calls{0};
-    ParallelOptions par;
-    par.jobs = 4;
+  public:
+    explicit Rendezvous(int count) : waiting_(count) {}
+
+    /** True when every party arrived within the timeout. */
+    bool
+    arriveAndWait()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        if (--waiting_ == 0)
+            cv_.notify_all();
+        return cv_.wait_for(lock, std::chrono::seconds(30),
+                            [this] { return waiting_ <= 0; });
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    int waiting_;
+};
+
+/** Thread ids seen by a parallel body, safe to record concurrently. */
+class ThreadSet
+{
+  public:
+    void
+    add()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ids_.insert(std::this_thread::get_id());
+    }
+    std::set<std::thread::id>
+    ids()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return ids_;
+    }
+
+  private:
+    std::mutex mu_;
+    std::set<std::thread::id> ids_;
+};
+
+TEST(Parallel, InnerRegionFansOutUnderWideOuterRegion)
+{
+    ParallelOptions outer;
+    outer.jobs = 4;
+    outer.chunk = 1;
+    ParallelOptions inner = outer;
+    std::atomic<int> met{0};
     parallelFor(
         4,
-        [&calls, par](std::size_t) {
+        [&](std::size_t i) {
+            if (i != 0)
+                return;
+            Rendezvous both{2};
             parallelFor(
-                8, [&calls](std::size_t) { ++calls; }, par);
+                2,
+                [&](std::size_t) {
+                    if (both.arriveAndWait())
+                        ++met;
+                },
+                inner);
+        },
+        outer);
+    EXPECT_EQ(met.load(), 2) << "inner indices never ran concurrently";
+}
+
+TEST(Parallel, SerialOuterRegionKeepsInnerOnCallingThread)
+{
+    ParallelOptions serial;
+    serial.jobs = 1;
+    ParallelOptions wide;
+    wide.jobs = 8;
+    wide.chunk = 1;
+    const std::thread::id caller = std::this_thread::get_id();
+    ThreadSet seen;
+    std::atomic<int> calls{0};
+    parallelFor(
+        2,
+        [&](std::size_t) {
+            parallelFor(
+                64,
+                [&](std::size_t) {
+                    seen.add();
+                    ++calls;
+                },
+                wide);
+        },
+        serial);
+    EXPECT_EQ(calls.load(), 128);
+    EXPECT_EQ(seen.ids(), std::set<std::thread::id>{caller});
+}
+
+TEST(Parallel, InnerWidthIsCappedByOuterWidth)
+{
+    ParallelOptions outer;
+    outer.jobs = 2;
+    ParallelOptions inner;
+    inner.jobs = 8;
+    inner.chunk = 1;
+    ThreadSet seen;
+    parallelFor(
+        1,
+        [&](std::size_t) {
+            parallelFor(
+                256,
+                [&](std::size_t) {
+                    seen.add();
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(50));
+                },
+                inner);
+        },
+        outer);
+    EXPECT_LE(seen.ids().size(), 2u);
+}
+
+TEST(Parallel, OneIndexRegionStillLetsItsBodyFanOut)
+{
+    ParallelOptions wide;
+    wide.jobs = 4;
+    wide.chunk = 1;
+    std::atomic<int> met{0};
+    parallelFor(
+        1,
+        [&](std::size_t) {
+            Rendezvous both{2};
+            parallelFor(
+                2,
+                [&](std::size_t) {
+                    if (both.arriveAndWait())
+                        ++met;
+                },
+                wide);
+        },
+        wide);
+    EXPECT_EQ(met.load(), 2) << "a one-index region serialized its body";
+}
+
+TEST(Parallel, ThreeLevelNestingCoversEveryIndexOnce)
+{
+    // 16^3 chunks of one index each, far more than the pool has
+    // workers: waits at every level must not starve each other.
+    constexpr std::size_t n = 16;
+    std::vector<std::atomic<int>> hits(n * n * n);
+    ParallelOptions par;
+    par.jobs = 4;
+    par.chunk = 1;
+    parallelFor(
+        n,
+        [&](std::size_t i) {
+            parallelFor(
+                n,
+                [&](std::size_t j) {
+                    parallelFor(
+                        n,
+                        [&](std::size_t k) { ++hits[(i * n + j) * n + k]; },
+                        par);
+                },
+                par);
         },
         par);
-    EXPECT_EQ(calls.load(), 32);
+    for (std::size_t x = 0; x < hits.size(); ++x)
+        ASSERT_EQ(hits[x].load(), 1) << "index " << x;
+}
+
+TEST(Parallel, NestedExceptionReachesOutermostCaller)
+{
+    ParallelOptions par;
+    par.jobs = 4;
+    par.chunk = 1;
+    EXPECT_THROW(parallelFor(
+                     8,
+                     [&](std::size_t i) {
+                         parallelFor(
+                             8,
+                             [i](std::size_t j) {
+                                 fatalIf(i == 5 && j == 3,
+                                         "injected nested failure");
+                             },
+                             par);
+                     },
+                     par),
+                 FatalError);
 }
 
 TEST(Rng, DerivedSeedsAreDeterministicAndDistinct)

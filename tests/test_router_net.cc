@@ -43,13 +43,25 @@ makePacket(std::uint64_t id, int src, int dst, int flits = 1)
 
 TEST(RouterNet, DeliversToTheRightNode)
 {
+    // The delivered packet carries every field it was injected with.
     RouterNetwork net(meshConfig());
-    net.inject(makePacket(1, 0, 63, 5));
+    net.step();
+    net.step();
+    Packet p = makePacket(7, 0, 63, 5);
+    p.tag = 1;
+    net.inject(p);
     for (int c = 0; c < 200 && net.delivered().empty(); ++c)
         net.step();
     ASSERT_EQ(net.delivered().size(), 1u);
-    EXPECT_EQ(net.delivered()[0].dst, 63);
-    EXPECT_EQ(net.delivered()[0].src, 0);
+    const Packet &d = net.delivered()[0];
+    EXPECT_EQ(d.id, 7u);
+    EXPECT_EQ(d.dst, 63);
+    EXPECT_EQ(d.src, 0);
+    EXPECT_EQ(d.flits, 5);
+    EXPECT_EQ(d.tag, 1);
+    EXPECT_FALSE(d.broadcast);
+    EXPECT_EQ(d.injected, 2u);
+    EXPECT_GT(d.delivered, d.injected);
 }
 
 TEST(RouterNet, CornerToCornerLatencySane)
@@ -229,6 +241,13 @@ TEST(RouterNet, RejectsBadPackets)
     EXPECT_THROW(net.inject(makePacket(0, 0, 5)), FatalError); // id 0
     EXPECT_THROW(net.inject(makePacket(1, -1, 5)), FatalError);
     EXPECT_THROW(net.inject(makePacket(1, 0, 64)), FatalError);
+    // The packet table stores flits in 16 bits and the tag in 8.
+    EXPECT_THROW(net.inject(makePacket(1, 0, 5, 0)), FatalError);
+    EXPECT_THROW(net.inject(makePacket(1, 0, 5, 32768)), FatalError);
+    Packet tagged = makePacket(1, 0, 5);
+    tagged.tag = 128;
+    EXPECT_THROW(net.inject(tagged), FatalError);
+    EXPECT_EQ(net.inFlight(), 0u);
 }
 
 TEST(RouterNet, QueuesBeyondOneMaskWord)
@@ -275,6 +294,13 @@ TEST(RouterNet, RejectsTooManyVcs)
 {
     RouterNetConfig cfg = meshConfig();
     cfg.virtualChannels = 128; // VC ids are 8-bit
+    EXPECT_THROW(RouterNetwork{cfg}, FatalError);
+}
+
+TEST(RouterNet, RejectsTooManyCores)
+{
+    RouterNetConfig cfg = meshConfig();
+    cfg.cores = 256 * 256; // node ids are 16-bit
     EXPECT_THROW(RouterNetwork{cfg}, FatalError);
 }
 
